@@ -244,7 +244,7 @@ PYEOF
 echo "== event-loop smoke (idle herd, bounded threads, warm-restart drain) =="
 EVDIR="$(mktemp -d /tmp/odc-ci-event.XXXXXX)"
 trap 'rm -f "$STATS_JSON"; rm -rf "$WORK" "$REPODIR" "$SRVDIR" "$EVDIR"; kill "${SRVPID:-}" "${EVPID:-}" 2>/dev/null || true' EXIT
-"$ODCBIN" serve --addr 127.0.0.1:0 --workers 2 --io event \
+"$ODCBIN" serve --addr 127.0.0.1:0 --workers 2 \
   --checkpoint-dir "$EVDIR/ckpt" --cache-dir "$EVDIR/cache" \
   --stats-json "$EVDIR/serve.jsonl" \
   --preload loc=examples/location.odcs --preload lad="$SRVDIR/ladder.odcs" \
@@ -331,7 +331,7 @@ PYEOF
 # Warm restart from the persisted caches alone: no --preload, yet the
 # restarted server must know `loc`, answer the same bytes as the CLI,
 # and answer it out of the restored (cross-session) cache.
-"$ODCBIN" serve --addr 127.0.0.1:0 --workers 2 --io event \
+"$ODCBIN" serve --addr 127.0.0.1:0 --workers 2 \
   --cache-dir "$EVDIR/cache" > "$EVDIR/serve2.out" &
 EVPID=$!
 EVADDR2=""
@@ -366,19 +366,19 @@ FUZZDIR="$(mktemp -d /tmp/odc-ci-fuzz.XXXXXX)"
 trap 'rm -f "$STATS_JSON"; rm -rf "$WORK" "$REPODIR" "$SRVDIR" "$EVDIR" "$FUZZDIR" "${STOREDIR:-}"; kill "${SRVPID:-}" "${EVPID:-}" 2>/dev/null || true' EXIT
 
 # Clean sweep: a fixed-seed batch across every executor pair must agree
-# with itself — exit 0, zero divergences, all six pairs exercised.
+# with itself — exit 0, zero divergences, every pair exercised.
 "$ODCBIN" fuzz --seed 2002 --cases 12 --repro-dir "$FUZZDIR/clean-repros" \
   --stats-json "$FUZZDIR/clean.jsonl" > "$FUZZDIR/clean.txt"
 grep -q "divergences: 0" "$FUZZDIR/clean.txt" \
   || { echo "clean fuzz sweep diverged:"; cat "$FUZZDIR/clean.txt"; exit 1; }
-for p in trail-clone serial-jobs planned-noplan fault-resume repo-warm-cold serve-cli ingest-full; do
+for p in trail-frozen serial-jobs planned-noplan fault-resume repo-warm-cold serve-cli ingest-full; do
   grep "pairs run:" "$FUZZDIR/clean.txt" | grep -q "$p" \
     || { echo "pair $p never ran:"; cat "$FUZZDIR/clean.txt"; exit 1; }
 done
 
-# Planted fault: the test-only clone-kernel sabotage must be found
+# Planted fault: the test-only oracle sabotage must be found
 # (exit 2), minimized to a repro directory, and the repro must replay.
-if "$ODCBIN" fuzz --seed 2002 --cases 2 --sabotage --pairs trail-clone \
+if "$ODCBIN" fuzz --seed 2002 --cases 2 --sabotage --pairs trail-frozen \
   --repro-dir "$FUZZDIR/repros" --stats-json "$FUZZDIR/sab.jsonl" \
   > "$FUZZDIR/sab.txt"; then
   echo "sabotage run exited 0 — planted divergence went unnoticed"

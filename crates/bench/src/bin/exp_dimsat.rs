@@ -1,22 +1,16 @@
 //! E12: the DIMSAT kernel experiments behind `BENCH_dimsat.json`.
 //!
-//! Three sections:
+//! Sections:
 //!
-//! 1. **trail vs clone** — the trail-based backtracking kernel against
-//!    the legacy clone-and-restore kernel
-//!    ([`DimsatOptions::without_trail`]) on the E7 scaling schemas:
-//!    wall-clock per enumeration plus allocations-per-node
-//!    (`struct_clones / expand_calls`, the snapshot count the clone
-//!    kernel pays for every subset mask).
-//! 2. **oracle agreement** — both kernels must enumerate exactly the
+//! 1. **oracle agreement** — the trail kernel must enumerate exactly the
 //!    frozen dimensions of the Theorem-3 exhaustive oracle on the
 //!    Figure-4 (locationSch) and cyclic (Example 4) fixtures.
-//! 3. **serial vs parallel** — the Theorem-1 summarizability battery on
+//! 2. **serial vs parallel** — the Theorem-1 summarizability battery on
 //!    a five-bottom schema whose four *implied* bottoms are expensive to
 //!    prove (exhaustive search) while the last bottom fails fast; the
 //!    parallel battery reaches the countermodel early and cancels the
 //!    rest, so it wins even on a single core.
-//! 4. **observer overhead** — the same enumeration with no observer,
+//! 3. **observer overhead** — the same enumeration with no observer,
 //!    with a null observer sink attached, and with a JSONL emitter
 //!    writing to a sink file; attaching a sink must stay within noise
 //!    (the acceptance bar is ≤2% for the null sink).
@@ -27,7 +21,6 @@
 use odc_bench::scaling_by_n;
 use odc_bench::timing::Group;
 use odc_core::dimsat::stats::timed;
-use odc_core::dimsat::SearchStats;
 use odc_core::frozen::ExhaustiveEnumerator;
 use odc_core::plan::SharedFacts;
 use odc_core::prelude::*;
@@ -46,49 +39,11 @@ fn main() {
         // One calibrated sample per case; keeps CI runs to seconds.
         std::env::set_var("ODC_BENCH_QUICK", "1");
     }
-    println!("E12 — DIMSAT kernel: trail backtracking, oracle agreement, parallel battery");
+    println!("E12 — DIMSAT kernel: oracle agreement, parallel battery, overheads");
 
     let mut json = String::from("{\n");
 
-    // ── 1. trail vs clone ────────────────────────────────────────────
-    let grid = scaling_by_n();
-    let grid = if smoke { &grid[..3] } else { &grid[..] };
-    let mut g1 = Group::new("trail_vs_clone");
-    g1.sample_size(10);
-    json.push_str("  \"trail_vs_clone\": [\n");
-    for (i, (label, ds, bottom)) in grid.iter().enumerate() {
-        let trail_opts = DimsatOptions::default();
-        let clone_opts = DimsatOptions::default().without_trail();
-        let (trail_min, _) = g1.bench_timed(&format!("{label}/trail"), || {
-            let _ = Dimsat::with_options(ds, trail_opts).enumerate_frozen(*bottom);
-        });
-        let (clone_min, _) = g1.bench_timed(&format!("{label}/clone"), || {
-            let _ = Dimsat::with_options(ds, clone_opts).enumerate_frozen(*bottom);
-        });
-        let (_, trail_out) = Dimsat::with_options(ds, trail_opts).enumerate_frozen(*bottom);
-        let (_, clone_out) = Dimsat::with_options(ds, clone_opts).enumerate_frozen(*bottom);
-        let apn = |s: &SearchStats| s.struct_clones as f64 / s.expand_calls.max(1) as f64;
-        println!(
-            "{label:10} allocations-per-node: trail {:.3}  clone {:.3}",
-            apn(&trail_out.stats),
-            apn(&clone_out.stats)
-        );
-        let _ = writeln!(
-            json,
-            "    {{\"label\": \"{label}\", \"trail_ns\": {}, \"clone_ns\": {}, \
-             \"trail_allocs_per_node\": {:.4}, \"clone_allocs_per_node\": {:.4}, \
-             \"expand_calls\": {}}}{}",
-            trail_min.as_nanos(),
-            clone_min.as_nanos(),
-            apn(&trail_out.stats),
-            apn(&clone_out.stats),
-            trail_out.stats.expand_calls,
-            if i + 1 < grid.len() { "," } else { "" },
-        );
-    }
-    json.push_str("  ],\n");
-
-    // ── 2. oracle agreement ──────────────────────────────────────────
+    // ── 1. oracle agreement ──────────────────────────────────────────
     println!("\n== oracle_agreement ==");
     json.push_str("  \"oracle_agreement\": [\n");
     let fixtures = [
@@ -99,18 +54,16 @@ fn main() {
         let Some(root) = ds.hierarchy().category_by_name(root) else {
             continue;
         };
-        let trail = enumerate_fingerprints(ds, root, DimsatOptions::default());
-        let clone = enumerate_fingerprints(ds, root, DimsatOptions::default().without_trail());
+        let trail = enumerate_fingerprints(ds, root);
         let oracle: BTreeSet<Vec<(u32, u32)>> = ExhaustiveEnumerator::new(ds, root)
             .enumerate()
             .iter()
             .map(fingerprint)
             .collect();
-        let identical = trail == oracle && clone == oracle;
+        let identical = trail == oracle;
         println!(
-            "{name:10} trail {}  clone {}  oracle {}  identical: {identical}",
+            "{name:10} trail {}  oracle {}  identical: {identical}",
             trail.len(),
-            clone.len(),
             oracle.len()
         );
         assert!(identical, "{name}: kernel disagrees with the Theorem-3 oracle");
@@ -123,7 +76,7 @@ fn main() {
     }
     json.push_str("  ],\n");
 
-    // ── 3. serial vs parallel Theorem-1 battery ──────────────────────
+    // ── 2. serial vs parallel Theorem-1 battery ──────────────────────
     println!("\n== parallel_battery ==");
     let ds = battery_sch();
     let target = ds.hierarchy().category_by_name("T").unwrap();
@@ -173,7 +126,7 @@ fn main() {
     );
     json.push_str(",\n");
 
-    // ── 4. observer overhead ─────────────────────────────────────────
+    // ── 3. observer overhead ─────────────────────────────────────────
     println!("\n== observer_overhead ==");
     json.push_str("  \"observer_overhead\": [\n");
     let obs_grid = scaling_by_n();
@@ -221,7 +174,7 @@ fn main() {
     let _ = std::fs::remove_file(&sink_path);
     json.push_str("  ],\n");
 
-    // ── 5. checkpoint/resume overhead ────────────────────────────────
+    // ── 4. checkpoint/resume overhead ────────────────────────────────
     // The acceptance bar for the robustness work: interrupting an E8
     // (Theorem-4 SAT-reduction) solve at its midpoint, serializing the
     // cursor through the text format, and resuming to completion must
@@ -444,12 +397,8 @@ fn main() {
 
 /// Enumerates the frozen dimensions with the given kernel options and
 /// reduces them to structural fingerprints (sorted edge lists).
-fn enumerate_fingerprints(
-    ds: &DimensionSchema,
-    root: Category,
-    opts: DimsatOptions,
-) -> BTreeSet<Vec<(u32, u32)>> {
-    let (frozen, out) = Dimsat::with_options(ds, opts).enumerate_frozen(root);
+fn enumerate_fingerprints(ds: &DimensionSchema, root: Category) -> BTreeSet<Vec<(u32, u32)>> {
+    let (frozen, out) = Dimsat::new(ds).enumerate_frozen(root);
     assert!(out.interrupted.is_none());
     frozen.iter().map(fingerprint).collect()
 }

@@ -55,7 +55,7 @@ fn main() {
     let sab = run_fuzz(&FuzzConfig {
         seed,
         cases: 3,
-        pairs: vec![Pair::TrailClone],
+        pairs: vec![Pair::TrailFrozen],
         sabotage: true,
         repro_dir: Some(repro_base.clone()),
         ..FuzzConfig::default()

@@ -18,7 +18,7 @@
 //! * **saturation** — closed-loop pipelined clients at increasing
 //!   batch depth; the curve shows where syscall amortization stops
 //!   paying and what the peak request rate is. Compared against the
-//!   threaded-mode baseline recorded by PR 5.
+//!   recorded baseline of the retired thread-per-connection server.
 //! * **slo** — an open-loop arrival process at half the measured peak;
 //!   requests are stamped with their *scheduled* send time, so queueing
 //!   delay (and coordinated omission) lands in the histogram. Reported
@@ -54,9 +54,9 @@ use std::time::{Duration, Instant};
 
 const SEED: u64 = 0x0d15_5e7e;
 const CLIENTS: usize = 4;
-/// Threaded-mode throughput recorded by PR 5 on this machine (4
-/// workers, 4 closed-loop clients, no pipelining) — the bar the event
-/// loop is measured against.
+/// Throughput of the retired thread-per-connection server, recorded
+/// before it was deleted (4 workers, 4 closed-loop clients, no
+/// pipelining) — the bar the event loop is measured against.
 const BASELINE_RPS: f64 = 11197.46;
 /// Warm SLO: p99 round-trip for warm mixed requests at half peak load.
 const WARM_SLO_US: f64 = 25_000.0;

@@ -71,6 +71,8 @@ pub use odc_plan as plan;
 pub use odc_repo as repo;
 pub use odc_summarizability as summarizability;
 
+pub mod render;
+
 pub use odc_govern::{Budget, CancelToken, Governor, Interrupt, InterruptReason};
 
 /// The one-stop import.

@@ -51,7 +51,7 @@ pub const SWEEP_KIND: &str = "category-sweep";
 /// it records the search without steering it.
 pub fn options_key(opts: &DimsatOptions) -> String {
     format!(
-        "into={} eager={} order={} instar={} trail={}",
+        "into={} eager={} order={} instar={}",
         u8::from(opts.into_pruning),
         u8::from(opts.eager_structure_pruning),
         match opts.order {
@@ -59,7 +59,6 @@ pub fn options_key(opts: &DimsatOptions) -> String {
             TopOrder::Fifo => "fifo",
         },
         u8::from(opts.incremental_instar),
-        u8::from(opts.trail_backtracking),
     )
 }
 
@@ -98,14 +97,13 @@ pub fn parse_reason(tok: &str) -> Result<InterruptReason, CheckpointError> {
 /// Encodes a [`SearchStats`] as one `stats …` payload record.
 pub fn encode_stats(s: &SearchStats) -> String {
     format!(
-        "stats {} {} {} {} {} {} {} {} {} {} {}",
+        "stats {} {} {} {} {} {} {} {} {} {}",
         s.expand_calls,
         s.check_calls,
         s.dead_ends,
         s.late_rejections,
         s.assignments_tested,
         s.frozen_found,
-        s.struct_clones,
         s.cache_hits,
         s.cache_misses,
         s.cache_collisions,
@@ -122,11 +120,11 @@ pub fn decode_stats(rest: &str) -> Result<SearchStats, CheckpointError> {
                 .map_err(|_| CheckpointError::malformed(format!("bad stats token {t:?}")))
         })
         .collect::<Result<_, _>>()?;
-    let [expand_calls, check_calls, dead_ends, late_rejections, assignments_tested, frozen_found, struct_clones, cache_hits, cache_misses, cache_collisions, elapsed_us] =
+    let [expand_calls, check_calls, dead_ends, late_rejections, assignments_tested, frozen_found, cache_hits, cache_misses, cache_collisions, elapsed_us] =
         nums[..]
     else {
         return Err(CheckpointError::malformed(format!(
-            "stats record has {} fields, expected 11",
+            "stats record has {} fields, expected 10",
             nums.len()
         )));
     };
@@ -138,7 +136,6 @@ pub fn decode_stats(rest: &str) -> Result<SearchStats, CheckpointError> {
         late_rejections,
         assignments_tested,
         frozen_found,
-        struct_clones,
         cache_hits,
         cache_misses,
         cache_collisions,
@@ -495,8 +492,8 @@ mod tests {
         let a = options_key(&DimsatOptions::default());
         let b = options_key(&DimsatOptions::default().with_trace());
         assert_eq!(a, b);
-        let c = options_key(&DimsatOptions::default().without_trail());
-        assert_ne!(a, c, "kernel choice is part of the cursor's identity");
+        let c = options_key(&DimsatOptions::without_into_pruning());
+        assert_ne!(a, c, "pruning choice is part of the cursor's identity");
     }
 
     #[test]
@@ -508,7 +505,6 @@ mod tests {
             late_rejections: 0,
             assignments_tested: 19,
             frozen_found: 2,
-            struct_clones: 5,
             cache_hits: 8,
             cache_misses: 9,
             cache_collisions: 1,

@@ -37,12 +37,6 @@ pub struct DimsatOptions {
     /// paper's own bookkeeping, kept switchable so its effect can be
     /// measured.
     pub incremental_instar: bool,
-    /// Backtrack by popping a trail (undo log) of edge additions,
-    /// frontier pushes, and `In*` word deltas instead of cloning `sub`,
-    /// `instar`, and `inn` for every parent-subset choice. Same
-    /// exploration order and answers either way; the clone kernel is kept
-    /// for one release as a differential-testing reference.
-    pub trail_backtracking: bool,
 }
 
 impl Default for DimsatOptions {
@@ -53,7 +47,6 @@ impl Default for DimsatOptions {
             order: TopOrder::Lifo,
             trace: false,
             incremental_instar: true,
-            trail_backtracking: true,
         }
     }
 }
@@ -95,13 +88,6 @@ impl DimsatOptions {
         self.incremental_instar = false;
         self
     }
-
-    /// Legacy clone-and-restore backtracking (the pre-trail kernel),
-    /// retained for one release as a differential-testing reference.
-    pub fn without_trail(mut self) -> Self {
-        self.trail_backtracking = false;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -130,7 +116,5 @@ mod tests {
                 .without_incremental_instar()
                 .incremental_instar
         );
-        assert!(DimsatOptions::full().trail_backtracking);
-        assert!(!DimsatOptions::full().without_trail().trail_backtracking);
     }
 }

@@ -989,7 +989,6 @@ pub fn solve_counters(stats: &SearchStats) -> SolveCounters {
         late_rejections: stats.late_rejections,
         assignments_tested: stats.assignments_tested,
         frozen_found: stats.frozen_found,
-        struct_clones: stats.struct_clones,
         cache_hits: stats.cache_hits,
         cache_misses: stats.cache_misses,
         cache_collisions: stats.cache_collisions,
@@ -999,7 +998,7 @@ pub fn solve_counters(stats: &SearchStats) -> SolveCounters {
 
 /// One reversible mutation recorded on the backtracking trail. Popping
 /// the trail back to a mark restores `sub`, `instar`, and `inn` exactly,
-/// replacing the per-mask clone of all three structures.
+/// so no parent-subset choice has to snapshot them.
 enum TrailOp {
     /// An edge `child ↗' parent` added to `sub`, with its undo receipt.
     Edge {
@@ -1029,8 +1028,7 @@ struct Search<'a, 'g> {
     /// In-neighbors within `sub` (companion to `instar` for the `Ss`
     /// shortcut test).
     inn: Vec<Vec<Category>>,
-    /// Undo log for trail-based backtracking (empty when the legacy
-    /// clone-and-restore kernel is selected).
+    /// Undo log for backtracking.
     trail: Vec<TrailOp>,
     /// Reusable DFS stack for [`Search::propagate_instar`].
     prop_stack: Vec<Category>,
@@ -1115,8 +1113,8 @@ impl<'a, 'g> Search<'a, 'g> {
         }
     }
 
-    /// Adds `delta` to `In*(p)` and pushes it transitively upward. Under
-    /// trail backtracking every changed `In*` word is logged first, so
+    /// Adds `delta` to `In*(p)` and pushes it transitively upward. Every
+    /// changed `In*` word is logged on the trail first, so
     /// [`Search::undo_trail`] can restore the sets without a snapshot.
     fn propagate_instar(&mut self, p: Category, delta: &CatSet) {
         let mut stack = std::mem::take(&mut self.prop_stack);
@@ -1127,18 +1125,14 @@ impl<'a, 'g> Search<'a, 'g> {
             if delta.is_subset_of(&self.instar[qi]) {
                 continue;
             }
-            if self.opts.trail_backtracking {
-                let (instar, trail) = (&mut self.instar[qi], &mut self.trail);
-                instar.union_with_logged(delta, &mut |w, old| {
-                    trail.push(TrailOp::InstarWord {
-                        cat: qi as u32,
-                        word: w as u32,
-                        old,
-                    });
+            let (instar, trail) = (&mut self.instar[qi], &mut self.trail);
+            instar.union_with_logged(delta, &mut |w, old| {
+                trail.push(TrailOp::InstarWord {
+                    cat: qi as u32,
+                    word: w as u32,
+                    old,
                 });
-            } else {
-                self.instar[qi].union_with(delta);
-            }
+            });
             stack.extend(self.sub.parents(q).iter().copied());
         }
         self.prop_stack = stack;
@@ -1312,35 +1306,19 @@ impl<'a, 'g> Search<'a, 'g> {
 
             let trail_mark = self.trail.len();
             let saved_top_len = self.top.len();
-            let saved = (!self.opts.trail_backtracking).then(|| {
-                if !replay_step {
-                    self.stats.struct_clones += 1;
-                }
-                let instar = self.opts.incremental_instar.then(|| {
-                    if !replay_step {
-                        self.stats.struct_clones += 2;
-                    }
-                    (self.instar.clone(), self.inn.clone())
-                });
-                (self.sub.clone(), instar)
-            });
             for &p in &r {
                 if !self.sub.contains(p) && !p.is_all() {
                     self.top.push_back(p);
                 }
                 let undo = self.sub.add_edge_undoable(ctop, p);
-                if self.opts.trail_backtracking {
-                    self.trail.push(TrailOp::Edge {
-                        child: ctop,
-                        parent: p,
-                        undo,
-                    });
-                }
+                self.trail.push(TrailOp::Edge {
+                    child: ctop,
+                    parent: p,
+                    undo,
+                });
                 if self.opts.incremental_instar {
                     self.inn[p.index()].push(ctop);
-                    if self.opts.trail_backtracking {
-                        self.trail.push(TrailOp::InnPush { parent: p });
-                    }
+                    self.trail.push(TrailOp::InnPush { parent: p });
                     if let Some(d) = &delta {
                         self.propagate_instar(p, d);
                     }
@@ -1362,16 +1340,7 @@ impl<'a, 'g> Search<'a, 'g> {
                 // fresh work and must tick, count, and start at mask 0.
                 self.resume_cursor.truncate(depth + 1);
             }
-            match saved {
-                Some((sub, instar)) => {
-                    self.sub = sub;
-                    if let Some((instar, inn)) = instar {
-                        self.instar = instar;
-                        self.inn = inn;
-                    }
-                }
-                None => self.undo_trail(trail_mark),
-            }
+            self.undo_trail(trail_mark);
             self.top.truncate(saved_top_len);
         }
         if let Some(d) = delta {
@@ -1601,24 +1570,6 @@ mod tests {
             assert!(par.is_complete());
             assert_eq!(par.unsat, serial.unsat, "jobs={jobs}");
             assert_eq!(par.decided, serial.decided, "jobs={jobs}");
-        }
-    }
-
-    #[test]
-    fn trail_and_clone_kernels_enumerate_identically() {
-        let ds = location_sch();
-        for name in ["Store", "City", "State", "SaleRegion"] {
-            let c = cat(&ds, name);
-            let (trail, trail_out) = Dimsat::new(&ds).enumerate_frozen(c);
-            let (clone, clone_out) =
-                Dimsat::with_options(&ds, DimsatOptions::full().without_trail())
-                    .enumerate_frozen(c);
-            let a: Vec<_> = trail.iter().map(edge_fingerprint).collect();
-            let b: Vec<_> = clone.iter().map(edge_fingerprint).collect();
-            assert_eq!(a, b, "kernels diverged on {name} (order-sensitive)");
-            assert_eq!(trail_out.stats.expand_calls, clone_out.stats.expand_calls);
-            assert_eq!(trail_out.stats.struct_clones, 0, "trail kernel never clones");
-            assert!(clone_out.stats.struct_clones > 0, "clone kernel snapshots");
         }
     }
 
@@ -1914,34 +1865,31 @@ mod tests {
             "assignments_tested {ctx}"
         );
         assert_eq!(a.frozen_found, b.frozen_found, "frozen_found {ctx}");
-        assert_eq!(a.struct_clones, b.struct_clones, "struct_clones {ctx}");
     }
 
     #[test]
     fn resume_parity_at_every_node_budget() {
         let ds = location_sch();
         let store = cat(&ds, "Store");
-        for opts in [DimsatOptions::full(), DimsatOptions::full().without_trail()] {
-            let (clean, clean_out) = Dimsat::with_options(&ds, opts).enumerate_frozen(store);
-            let clean_edges: Vec<_> = clean.iter().map(edge_fingerprint).collect();
-            let mut resumed_runs = 0;
-            for k in 1..clean_out.stats.expand_calls {
-                let (_, first) = Dimsat::with_options(&ds, opts)
-                    .with_budget(Budget::unlimited().with_node_limit(k))
-                    .enumerate_frozen(store);
-                let cp = first.checkpoint.expect("interrupted run records a cursor");
-                let text = cp.to_text();
-                let solver = Dimsat::with_options(&ds, opts);
-                let cp = solver.load_checkpoint(&text).expect("roundtrip");
-                let (found, out) = solver.resume(&cp).expect("same schema resumes");
-                assert!(out.interrupted.is_none(), "k={k}");
-                let edges: Vec<_> = found.iter().map(edge_fingerprint).collect();
-                assert_eq!(edges, clean_edges, "enumeration diverged at k={k}");
-                assert_stats_match(&out.stats, &clean_out.stats, &format!("k={k}"));
-                resumed_runs += 1;
-            }
-            assert!(resumed_runs > 10, "matrix actually exercised resume");
+        let (clean, clean_out) = Dimsat::new(&ds).enumerate_frozen(store);
+        let clean_edges: Vec<_> = clean.iter().map(edge_fingerprint).collect();
+        let mut resumed_runs = 0;
+        for k in 1..clean_out.stats.expand_calls {
+            let (_, first) = Dimsat::new(&ds)
+                .with_budget(Budget::unlimited().with_node_limit(k))
+                .enumerate_frozen(store);
+            let cp = first.checkpoint.expect("interrupted run records a cursor");
+            let text = cp.to_text();
+            let solver = Dimsat::new(&ds);
+            let cp = solver.load_checkpoint(&text).expect("roundtrip");
+            let (found, out) = solver.resume(&cp).expect("same schema resumes");
+            assert!(out.interrupted.is_none(), "k={k}");
+            let edges: Vec<_> = found.iter().map(edge_fingerprint).collect();
+            assert_eq!(edges, clean_edges, "enumeration diverged at k={k}");
+            assert_stats_match(&out.stats, &clean_out.stats, &format!("k={k}"));
+            resumed_runs += 1;
         }
+        assert!(resumed_runs > 10, "matrix actually exercised resume");
     }
 
     #[test]
@@ -2053,11 +2001,81 @@ mod tests {
         ));
         // Same schema, different exploration order: options mismatch.
         assert!(matches!(
-            Dimsat::with_options(&ds, DimsatOptions::full().without_trail()).resume(&cp),
+            Dimsat::with_options(&ds, DimsatOptions::without_into_pruning()).resume(&cp),
             Err(CheckpointError::Malformed(_))
         ));
         // And the happy path still works.
         assert!(Dimsat::new(&ds).resume(&cp).is_ok());
+    }
+
+    /// Rewrites a checkpoint into the format of builds that still had
+    /// the clone kernel: options with a `trail=1` bit and 11-field stats
+    /// records (a clone-snapshot counter after `frozen_found`).
+    fn to_clone_era_format(text: &str, options: bool, stats: bool) -> String {
+        let mut out = String::new();
+        for line in text.lines() {
+            let (prefix, rest) = match line.strip_prefix("inner ") {
+                Some(r) => ("inner ", r),
+                None => ("", line),
+            };
+            if options && rest.starts_with("options ") {
+                out.push_str(&format!("{prefix}{rest} trail=1\n"));
+            } else if let (true, Some(fields)) = (stats, rest.strip_prefix("stats ")) {
+                let mut f: Vec<&str> = fields.split(' ').collect();
+                f.insert(6, "0");
+                out.push_str(&format!("{prefix}stats {}\n", f.join(" ")));
+            } else {
+                out.push_str(line);
+                out.push('\n');
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn clone_era_checkpoints_are_refused_with_typed_errors() {
+        let ds = location_sch();
+        let store = cat(&ds, "Store");
+        let solver = Dimsat::new(&ds);
+        let (_, first) = Dimsat::new(&ds)
+            .with_budget(Budget::unlimited().with_node_limit(2))
+            .enumerate_frozen(store);
+        let text = first.checkpoint.expect("cursor").to_text();
+        // The full old format fails on its 11-field stats record.
+        assert!(matches!(
+            solver.load_checkpoint(&to_clone_era_format(&text, true, true)),
+            Err(CheckpointError::Malformed(_))
+        ));
+        // The old options key alone loads but cannot be resumed.
+        let cp = solver
+            .load_checkpoint(&to_clone_era_format(&text, true, false))
+            .expect("envelope and stats parse");
+        assert!(matches!(
+            solver.resume(&cp),
+            Err(CheckpointError::Malformed(_))
+        ));
+
+        let extra =
+            odc_constraint::parse_constraint(ds.hierarchy(), "!SaleRegion_Country").unwrap();
+        let ds2 = ds.with_constraint(extra);
+        let budgeted = Dimsat::new(&ds2).with_budget(Budget::unlimited().with_node_limit(5));
+        let sweep = budgeted.unsatisfiable_categories();
+        let text = budgeted
+            .sweep_checkpoint(&sweep)
+            .expect("sweep cursor")
+            .to_text();
+        let solver = Dimsat::new(&ds2);
+        assert!(matches!(
+            solver.load_sweep_checkpoint(&to_clone_era_format(&text, true, true)),
+            Err(CheckpointError::Malformed(_))
+        ));
+        let cp = solver
+            .load_sweep_checkpoint(&to_clone_era_format(&text, true, false))
+            .expect("envelope and stats parse");
+        assert!(matches!(
+            solver.resume_sweep(&cp),
+            Err(CheckpointError::Malformed(_))
+        ));
     }
 
     #[test]

@@ -26,10 +26,6 @@ pub struct SearchStats {
     /// Frozen dimensions found (1 in decision mode, all of them in
     /// enumeration mode).
     pub frozen_found: u64,
-    /// O(n) structure snapshots taken for backtracking (`sub`, `instar`,
-    /// `inn` clones). Always 0 under trail-based backtracking; the
-    /// trail-vs-clone benchmark reads this as allocations-per-node.
-    pub struct_clones: u64,
     /// Implication memo-cache hits (queries answered without a search).
     pub cache_hits: u64,
     /// Implication memo-cache misses (queries that ran and were stored).
@@ -51,7 +47,6 @@ impl SearchStats {
         self.late_rejections += other.late_rejections;
         self.assignments_tested += other.assignments_tested;
         self.frozen_found += other.frozen_found;
-        self.struct_clones += other.struct_clones;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.cache_collisions += other.cache_collisions;

@@ -14,8 +14,8 @@ use std::time::{Duration, Instant};
 /// An executor pair the driver can differentiate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Pair {
-    /// Trail-based kernel vs clone-based kernel.
-    TrailClone,
+    /// Trail DIMSAT vs the exhaustive Theorem-3 frozen enumerator.
+    TrailFrozen,
     /// Serial category sweep vs work-stealing parallel sweep.
     SerialJobs,
     /// Naive Theorem-1 battery vs plan-ordered battery.
@@ -34,7 +34,7 @@ pub enum Pair {
 impl Pair {
     /// Every pair, in the order the driver runs them.
     pub const ALL: [Pair; 7] = [
-        Pair::TrailClone,
+        Pair::TrailFrozen,
         Pair::SerialJobs,
         Pair::PlannedNoplan,
         Pair::FaultResume,
@@ -46,7 +46,7 @@ impl Pair {
     /// Stable machine-readable name (CLI `--pairs` values, JSONL).
     pub fn name(self) -> &'static str {
         match self {
-            Pair::TrailClone => "trail-clone",
+            Pair::TrailFrozen => "trail-frozen",
             Pair::SerialJobs => "serial-jobs",
             Pair::PlannedNoplan => "planned-noplan",
             Pair::FaultResume => "fault-resume",
@@ -180,7 +180,7 @@ pub struct FuzzConfig {
     pub time_limit: Option<Duration>,
     /// Which pairs to exercise.
     pub pairs: Vec<Pair>,
-    /// Plant the test-only clone-kernel corruption.
+    /// Plant the test-only oracle corruption.
     pub sabotage: bool,
     /// Minimize failing cases before writing repros.
     pub minimize: bool,
@@ -294,7 +294,7 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
                 report.divergences.push(Divergence {
                     case_id: id,
                     axis: cc.axis.name().to_string(),
-                    pair: Pair::TrailClone,
+                    pair: Pair::TrailFrozen,
                     kind: DivergenceKind::Verdict,
                     query: "schema round-trip".into(),
                     left: "parses".into(),
@@ -356,37 +356,39 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
 
 /// Runs one (case, pair) cell; returns the first divergence, if any.
 /// Also used by the minimizer's interestingness predicate and replay.
-pub fn first_divergence(
-    pair: Pair,
-    case: &FuzzCase,
-    ctx: &PairContext<'_>,
-) -> Option<Divergence> {
+pub fn first_divergence(pair: Pair, case: &FuzzCase, ctx: &PairContext<'_>) -> Option<Divergence> {
+    scan(pair, case, ctx).ok().flatten()
+}
+
+/// The first divergence of one (case, pair) cell, or the setup error
+/// that kept the pair from running.
+fn scan(pair: Pair, case: &FuzzCase, ctx: &PairContext<'_>) -> Result<Option<Divergence>, String> {
+    let divergence = |kind, query: String, left: String, right: String| Divergence {
+        case_id: case.id,
+        axis: case.axis.clone(),
+        pair,
+        kind,
+        query,
+        left,
+        right,
+    };
     match run_pair(pair, case, ctx) {
-        Ok(results) => results.iter().find_map(|r| {
-            compare(&r.left, &r.right).map(|kind| Divergence {
-                case_id: case.id,
-                axis: case.axis.clone(),
-                pair,
-                kind,
-                query: r.query.clone(),
-                left: describe(&r.left),
-                right: describe(&r.right),
+        Ok(results) => Ok(results.iter().find_map(|r| {
+            compare(&r.left, &r.right).map(|kind| {
+                divergence(kind, r.query.clone(), describe(&r.left), describe(&r.right))
             })
-        }),
+        })),
         Err(PairError::Desync {
             expected,
             got,
             status,
-        }) => Some(Divergence {
-            case_id: case.id,
-            axis: case.axis.clone(),
-            pair,
-            kind: DivergenceKind::ProtocolDesync,
-            query: "pipeline".into(),
-            left: format!("expected seq {expected}"),
-            right: format!("got {got:?} (status `{status}`)"),
-        }),
-        Err(PairError::Setup(_)) => None,
+        }) => Ok(Some(divergence(
+            DivergenceKind::ProtocolDesync,
+            "pipeline".into(),
+            format!("expected seq {expected}"),
+            format!("got {got:?} (status `{status}`)"),
+        ))),
+        Err(PairError::Setup(e)) => Err(e),
     }
 }
 
@@ -396,38 +398,15 @@ fn run_case_pair(
     ctx: &PairContext<'_>,
     report: &mut FuzzReport,
 ) -> Option<Divergence> {
-    match run_pair(pair, case, ctx) {
-        Ok(results) => {
-            *report.pair_counts.entry(pair.name().to_string()).or_insert(0) += 1;
-            results.iter().find_map(|r| {
-                compare(&r.left, &r.right).map(|kind| Divergence {
-                    case_id: case.id,
-                    axis: case.axis.clone(),
-                    pair,
-                    kind,
-                    query: r.query.clone(),
-                    left: describe(&r.left),
-                    right: describe(&r.right),
-                })
-            })
+    match scan(pair, case, ctx) {
+        Ok(found) => {
+            *report
+                .pair_counts
+                .entry(pair.name().to_string())
+                .or_insert(0) += 1;
+            found
         }
-        Err(PairError::Desync {
-            expected,
-            got,
-            status,
-        }) => {
-            *report.pair_counts.entry(pair.name().to_string()).or_insert(0) += 1;
-            Some(Divergence {
-                case_id: case.id,
-                axis: case.axis.clone(),
-                pair,
-                kind: DivergenceKind::ProtocolDesync,
-                query: "pipeline".into(),
-                left: format!("expected seq {expected}"),
-                right: format!("got {got:?} (status `{status}`)"),
-            })
-        }
-        Err(PairError::Setup(e)) => {
+        Err(e) => {
             report.notes.push(format!(
                 "case {} pair {}: setup failed: {e}",
                 case.id,

@@ -109,8 +109,8 @@ pub struct PairResult {
 
 /// Everything [`run_pair`] needs besides the case itself.
 pub struct PairContext<'a> {
-    /// Corrupt the clone-kernel executor's bottom-category verdict (the
-    /// planted-divergence acceptance test).
+    /// Corrupt the exhaustive oracle's bottom-category `check` verdict
+    /// (the planted-divergence acceptance test).
     pub sabotage: bool,
     /// Worker count for the parallel sweep side.
     pub jobs: usize,
@@ -234,7 +234,7 @@ pub fn run_pair(
 ) -> Result<Vec<PairResult>, PairError> {
     let ds = case.schema().map_err(PairError::Setup)?;
     match pair {
-        Pair::TrailClone => Ok(trail_clone(&ds, case, ctx)),
+        Pair::TrailFrozen => Ok(trail_frozen(&ds, case, ctx)),
         Pair::SerialJobs => Ok(serial_jobs(&ds, case, ctx)),
         Pair::PlannedNoplan => Ok(planned_noplan(&ds, case)),
         Pair::FaultResume => Ok(fault_resume(&ds, case)),
@@ -441,33 +441,81 @@ fn ingest_obs(result: &Result<odc_store::BatchStats, odc_store::IngestError>) ->
     }
 }
 
-/// Trail-based kernel vs the clone-based one
-/// ([`DimsatOptions::without_trail`]). The whole battery is meaningful
-/// here; this is also where the planted sabotage lives.
-fn trail_clone(ds: &DimensionSchema, case: &FuzzCase, ctx: &PairContext<'_>) -> Vec<PairResult> {
-    let clone_opts = DimsatOptions::default().without_trail();
+/// Trail DIMSAT vs the Theorem-3 exhaustive enumerator
+/// ([`ExhaustiveEnumerator`]), both under the case budget. Only `check`
+/// (sat iff the oracle finds a frozen dimension) and `frozen` (counts
+/// and edge sets) queries have an oracle answer. This is also where the
+/// planted sabotage lives.
+fn trail_frozen(ds: &DimensionSchema, case: &FuzzCase, ctx: &PairContext<'_>) -> Vec<PairResult> {
+    let g = ds.hierarchy();
     case.queries
         .iter()
-        .map(|q| {
-            let left = answer_direct(ds, q, DimsatOptions::default());
-            let mut right = answer_direct(ds, q, clone_opts);
-            if ctx.sabotage {
-                if let Query::Check(c) = q {
-                    if *c == case.bottom {
-                        right.verdict = match right.verdict.as_str() {
-                            "sat" => "unsat".into(),
-                            "unsat" => "sat".into(),
-                            other => other.into(),
-                        };
-                        right.note = "sabotaged".into();
-                    }
+        .filter_map(|q| {
+            let (Query::Check(name) | Query::Frozen(name)) = q else {
+                return None;
+            };
+            let c = g.category_by_name(name)?;
+            let mut oracle = ExhaustiveEnumerator::new(ds, c).with_budget(case_budget());
+            let (left, mut right) = if let Query::Check(_) = q {
+                let witness = oracle.is_satisfiable();
+                let right = match (witness, oracle.interrupt()) {
+                    (Some(f), _) => Observation::decided("sat").with_witness(f.verify(ds).is_ok()),
+                    (None, Some(i)) => Observation::unknown(format!("{i:?}")),
+                    (None, None) => Observation::decided("unsat"),
+                };
+                (answer_direct(ds, q, DimsatOptions::default()), right)
+            } else {
+                let (trail, out) = Dimsat::new(ds)
+                    .with_budget(case_budget())
+                    .enumerate_frozen(c);
+                let found = oracle.enumerate();
+                if out.is_unknown() || oracle.interrupt().is_some() {
+                    let u = Observation::unknown("enumeration interrupted");
+                    return Some(PairResult {
+                        query: q.to_string(),
+                        left: u.clone(),
+                        right: u,
+                    });
                 }
+                let side = |frozen: &[FrozenDimension], other: &[FrozenDimension]| {
+                    let mut o = Observation::decided(format!("frozen={}", frozen.len()))
+                        .with_witness(frozen.iter().all(|f| f.verify(ds).is_ok()));
+                    if edge_sets(frozen) != edge_sets(other) {
+                        o.verdict.push_str(" edge-sets-differ");
+                    }
+                    o
+                };
+                (side(&trail, &found), side(&found, &trail))
+            };
+            if ctx.sabotage && *name == case.bottom && matches!(q, Query::Check(_)) {
+                right.verdict = match right.verdict.as_str() {
+                    "sat" => "unsat".into(),
+                    "unsat" => "sat".into(),
+                    other => other.into(),
+                };
+                right.note = "sabotaged".into();
             }
-            PairResult {
+            Some(PairResult {
                 query: q.to_string(),
                 left,
                 right,
-            }
+            })
+        })
+        .collect()
+}
+
+/// The frozen dimensions of `frozen` as a set of sorted edge lists.
+fn edge_sets(frozen: &[FrozenDimension]) -> std::collections::BTreeSet<Vec<(usize, usize)>> {
+    frozen
+        .iter()
+        .map(|f| {
+            let mut edges: Vec<(usize, usize)> = f
+                .subhierarchy()
+                .edges()
+                .map(|(a, b)| (a.index(), b.index()))
+                .collect();
+            edges.sort_unstable();
+            edges
         })
         .collect()
 }

@@ -4,8 +4,8 @@
 //! Constraints* reproduction. The same reasoning question — is this
 //! category satisfiable, is this constraint implied, is this rewriting
 //! summarizable — is answered by the codebase through half a dozen
-//! independent code paths: the trail-based kernel and the clone-based
-//! one, the serial category sweep and the work-stealing parallel one,
+//! independent code paths: the trail-based kernel and the exhaustive
+//! Theorem-3 enumerator, the serial category sweep and the work-stealing parallel one,
 //! the planned implication battery and the naive one, a fresh solve and
 //! a fault-interrupted-then-resumed one, a repo-warm audit and a cold
 //! one, a resident `odc serve` process and the one-shot library call.
@@ -34,8 +34,8 @@
 //!   re-executes them; `corpus/v1/` is a shipped set replayed by CI.
 //!
 //! The planted-divergence acceptance test rides on [`FuzzConfig::sabotage`]:
-//! a test-only switch that corrupts the clone-kernel executor's verdict
-//! for the bottom category, which the driver must find, minimize, and
+//! a test-only switch that corrupts the exhaustive oracle's verdict for
+//! the bottom category, which the driver must find, minimize, and
 //! replay.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]

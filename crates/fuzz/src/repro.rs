@@ -34,7 +34,7 @@ pub struct Repro {
     pub pair: Option<Pair>,
     /// Corpus seed the case was drawn under (provenance only).
     pub seed: u64,
-    /// Whether the clone-kernel sabotage switch was on.
+    /// Whether the planted-divergence sabotage switch was on.
     pub sabotage: bool,
     /// Divergence kind for divergence repros.
     pub divergence: Option<String>,

@@ -183,8 +183,6 @@ pub struct SolveCounters {
     pub assignments_tested: u64,
     /// Frozen dimensions found.
     pub frozen_found: u64,
-    /// Structure snapshots taken (clone-kernel backtracking only).
-    pub struct_clones: u64,
     /// Implication memo-cache hits.
     pub cache_hits: u64,
     /// Implication memo-cache misses.
@@ -760,7 +758,7 @@ struct SolveAgg {
 /// {"event":"worker","battery":"category_sweep","worker":0,"nodes":…,"checks":…,"items":…}
 /// {"event":"solve_end","solve_id":1,"verdict":"sat","interrupt":null,
 ///  "expand_calls":…,"check_calls":…,"dead_ends":…,"late_rejections":…,
-///  "assignments_tested":…,"frozen_found":…,"struct_clones":…,
+///  "assignments_tested":…,"frozen_found":…,
 ///  "cache_hits":…,"cache_misses":…,"cache_collisions":…,"elapsed_us":…,
 ///  "prunes":{"cycle":…,"shortcut":…,"into_dead_end":…,"late_rejection":…},
 ///  "checks":{"induced":…,"failed":…},"backtrack_depths":{"0":…,"1":…}}
@@ -849,7 +847,7 @@ impl Observer for JsonlObserver {
             "{{\"event\":\"solve_end\",\"solve_id\":{},\"verdict\":\"{}\",\"interrupt\":{},\
              \"request\":{},\
              \"expand_calls\":{},\"check_calls\":{},\"dead_ends\":{},\"late_rejections\":{},\
-             \"assignments_tested\":{},\"frozen_found\":{},\"struct_clones\":{},\
+             \"assignments_tested\":{},\"frozen_found\":{},\
              \"cache_hits\":{},\"cache_misses\":{},\"cache_collisions\":{},\"elapsed_us\":{},\
              \"prunes\":{{{prunes}}},\"checks\":{{\"induced\":{},\"failed\":{}}},\
              \"backtrack_depths\":{{{depths}}}}}",
@@ -866,7 +864,6 @@ impl Observer for JsonlObserver {
             c.late_rejections,
             c.assignments_tested,
             c.frozen_found,
-            c.struct_clones,
             c.cache_hits,
             c.cache_misses,
             c.cache_collisions,

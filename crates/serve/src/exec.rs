@@ -1,23 +1,24 @@
-//! Command execution shared by both IO modes.
+//! Command execution behind the event loop.
 //!
-//! The event loop ([`crate::event`]) and the threaded fallback (in
-//! [`crate::server`]) differ only in how bytes reach a parsed
-//! [`Command`] and how a [`Response`] gets back on the wire. Everything
-//! in between — catalog lookup, governor construction (policy ∩ ask,
-//! drain-child token, request-tagging observer), the per-command
-//! reasoning closures, and checkpoint persistence for interrupted
-//! solves — lives here, so the two modes cannot drift apart in payload
-//! bytes. The CLI-parity guarantee (`tests/serve.rs`,
-//! `exp_serve`'s 200/200 audit) rides on this single implementation.
+//! The event loop ([`crate::event`]) owns the bytes: it turns request
+//! lines into parsed [`Command`]s and puts each [`Response`] back on the
+//! wire. Everything in between — catalog lookup, governor construction
+//! (policy ∩ ask, drain-child token, request-tagging observer), the
+//! per-command reasoning, and checkpoint persistence for interrupted
+//! solves — lives here. Payload text comes from the renderers the CLI
+//! also prints through (`odc_core::render`), so the CLI-parity
+//! guarantee (`tests/serve.rs`, `exp_serve`'s 200/200 audit) rides on a
+//! single implementation.
 
 use crate::catalog::CatalogEntry;
 use crate::protocol::{Command, Response};
 use crate::server::Shared;
-use odc_core::constraint::{parse_constraint, printer::display_dc};
-use odc_core::dimsat::{implies_memo_session, Dimsat, DimsatOptions, ImplicationVerdict, Verdict};
+use odc_core::constraint::parse_constraint;
+use odc_core::dimsat::{implies_memo_session, Dimsat, DimsatOptions};
 use odc_core::obs::{Obs, Observer, SolveEnd, SolveStart};
+use odc_core::render;
 use odc_core::summarizability::advisor;
-use odc_core::summarizability::{is_summarizable_in_schema_session, SummarizabilityVerdict};
+use odc_core::summarizability::is_summarizable_in_schema_session;
 use odc_core::{CancelToken, Governor};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -34,7 +35,7 @@ pub(crate) enum Effect {
 }
 
 /// Whether the command runs a governed solve (and therefore routes to a
-/// shard in event mode / registers a disconnect watch in threaded mode).
+/// solver shard).
 pub(crate) fn is_solve(cmd: &Command) -> bool {
     matches!(
         cmd,
@@ -46,23 +47,13 @@ pub(crate) fn is_solve(cmd: &Command) -> bool {
     )
 }
 
-/// The uniform "unknown schema" error — one format string so both IO
-/// modes answer identically.
+/// The uniform "unknown schema" error.
 pub(crate) fn no_such_schema(name: &str) -> Response {
     Response::error(&format!("no such schema `{name}` (use `load`)"))
 }
 
-/// How many partial results an *interrupted* frozen enumeration lists.
-/// A cancelled exponential enumeration can hold tens of thousands of
-/// partial frozen dimensions; listing them all makes the `unknown`
-/// response unboundedly large (hundreds of MB on a depth-40 ladder),
-/// which a draining server cannot flush before its grace expires. The
-/// decided listing is never capped. The CLI applies the same cap
-/// (`src/bin/odc.rs`) so the two stay byte-identical.
-pub const PARTIAL_LISTING_CAP: usize = 32;
-
 /// Runs one non-solve command. `load_text` carries the dot-framed
-/// schema block for `load` (both modes read it off the wire before
+/// schema block for `load` (the event loop reads it off the wire before
 /// calling in). Solve commands are routed by the caller through
 /// [`execute_solve`]; passing one here is a caller bug reported as a
 /// protocol error, never a panic.
@@ -175,10 +166,9 @@ pub(crate) fn execute_fast(
 
 /// Runs one solve command against a pre-resolved catalog entry.
 ///
-/// The caller resolves the entry (threaded mode via [`execute`], event
-/// mode on the IO thread before dispatching to the entry's affinity
-/// shard) so shard workers never touch the catalog map — the hot path
-/// holds no cross-shard lock.
+/// The IO thread resolves the entry before dispatching to the entry's
+/// affinity shard, so shard workers never touch the catalog map — the
+/// hot path holds no cross-shard lock.
 pub(crate) fn execute_solve(
     shared: &Shared,
     cmd: &Command,
@@ -194,14 +184,9 @@ pub(crate) fn execute_solve(
                 let c = find_category(entry, category)?;
                 let outcome = Dimsat::new(entry.schema())
                     .category_satisfiable_governed(c, gov);
-                let (answer, unknown) = match &outcome.verdict {
-                    Verdict::Sat(_) => ("true".to_string(), None),
-                    Verdict::Unsat => ("false".to_string(), None),
-                    Verdict::Unknown(i) => (format!("unknown ({i})"), Some(i.to_string())),
-                };
                 Ok(Solved {
-                    payload: format!("satisfiable: {answer}\n"),
-                    unknown,
+                    payload: render::satisfiability(&outcome.verdict),
+                    unknown: outcome.interrupt().map(|i| i.to_string()),
                     checkpoint: outcome.checkpoint.map(|c| c.to_text()),
                 })
             },
@@ -219,17 +204,8 @@ pub(crate) fn execute_solve(
                     gov,
                     entry.cache().begin_session(),
                 );
-                let (answer, unknown) = match &out.verdict {
-                    ImplicationVerdict::Implied => ("true".to_string(), None),
-                    ImplicationVerdict::NotImplied => ("false".to_string(), None),
-                    ImplicationVerdict::Unknown(i) => {
-                        (format!("unknown ({i})"), Some(i.to_string()))
-                    }
-                };
-                let mut payload = format!("implied: {answer}\n");
-                if let Some(cx) = out.counterexample {
-                    payload.push_str(&format!("countermodel: {}\n", cx.display(ds)));
-                }
+                let payload = render::implication(ds, &out);
+                let unknown = out.interrupt().map(|i| i.to_string());
                 Ok(Solved {
                     payload,
                     unknown,
@@ -252,17 +228,8 @@ pub(crate) fn execute_solve(
                     gov,
                     entry.cache().begin_session(),
                 );
-                let (answer, unknown) = match &out.verdict {
-                    SummarizabilityVerdict::Summarizable => ("true".to_string(), None),
-                    SummarizabilityVerdict::NotSummarizable => ("false".to_string(), None),
-                    SummarizabilityVerdict::Unknown(i) => {
-                        (format!("unknown ({i})"), Some(i.to_string()))
-                    }
-                };
-                let mut payload = format!("summarizable: {answer}\n");
-                if let Some(cx) = out.counterexample {
-                    payload.push_str(&format!("countermodel: {}\n", cx.display(ds)));
-                }
+                let payload = render::summarizability(ds, &out);
+                let unknown = out.interrupt().map(|i| i.to_string());
                 Ok(Solved {
                     payload,
                     unknown,
@@ -277,33 +244,8 @@ pub(crate) fn execute_solve(
                 let c = find_category(entry, root)?;
                 let (frozen, outcome) =
                     Dimsat::new(ds).enumerate_frozen_governed(c, gov);
-                let shown = if outcome.interrupted.is_some() {
-                    frozen.len().min(PARTIAL_LISTING_CAP)
-                } else {
-                    frozen.len()
-                };
-                let mut payload = format!(
-                    "{} frozen dimension(s) with root {} ({} EXPAND, {} CHECK):\n",
-                    frozen.len(),
-                    root,
-                    outcome.stats.expand_calls,
-                    outcome.stats.check_calls,
-                );
-                for (i, f) in frozen.iter().take(shown).enumerate() {
-                    payload.push_str(&format!("  f{}: {}\n", i + 1, f.display(ds)));
-                }
-                if frozen.len() > shown {
-                    payload.push_str(&format!(
-                        "  ... {} more partial result(s) not shown\n",
-                        frozen.len() - shown
-                    ));
-                }
-                let unknown = outcome.interrupted.as_ref().map(|i| {
-                    payload.push_str(&format!(
-                        "enumeration interrupted ({i}); listing is partial\n"
-                    ));
-                    i.to_string()
-                });
+                let payload = render::frozen_listing(ds, root, &frozen, &outcome);
+                let unknown = outcome.interrupted.as_ref().map(|i| i.to_string());
                 Ok(Solved {
                     payload,
                     unknown,
@@ -332,19 +274,8 @@ pub(crate) fn execute_solve(
                         entry.facts(),
                     ),
                 };
-                let mut payload = report.render(ds);
+                let payload = render::audit(ds, &report);
                 let unknown = report.interrupted.as_ref().map(|i| i.to_string());
-                if unknown.is_none() {
-                    let suggestions = advisor::suggest_into_constraints(ds);
-                    if !suggestions.is_empty() {
-                        payload.push_str(
-                            "suggested into constraints (implied; make them explicit to help DIMSAT):\n",
-                        );
-                        for dc in suggestions {
-                            payload.push_str(&format!("  {}\n", display_dc(ds.hierarchy(), &dc)));
-                        }
-                    }
-                }
                 Ok(Solved {
                     payload,
                     unknown,
@@ -359,29 +290,6 @@ pub(crate) fn execute_solve(
     match cmd.ask().and_then(|a| a.tag) {
         Some(tag) => resp.with_tag(tag),
         None => resp,
-    }
-}
-
-/// Threaded-mode entry point: one command, catalog lookup included.
-pub(crate) fn execute(
-    shared: &Shared,
-    cmd: &Command,
-    load_text: Option<&str>,
-    request_id: u64,
-    worker_id: u64,
-    token: &CancelToken,
-) -> (Response, Effect) {
-    if is_solve(cmd) {
-        let name = cmd.schema().unwrap_or("");
-        let Some(entry) = shared.catalog.get(name) else {
-            return (no_such_schema(name), Effect::Keep);
-        };
-        (
-            execute_solve(shared, cmd, &entry, request_id, worker_id, token),
-            Effect::Keep,
-        )
-    } else {
-        execute_fast(shared, cmd, load_text)
     }
 }
 

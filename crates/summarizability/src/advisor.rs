@@ -1619,7 +1619,6 @@ mod tests {
             "assignments_tested {ctx}"
         );
         assert_eq!(a.frozen_found, b.frozen_found, "frozen_found {ctx}");
-        assert_eq!(a.struct_clones, b.struct_clones, "struct_clones {ctx}");
     }
 
     #[test]

@@ -40,6 +40,7 @@ use odc_core::dimsat::{AnytimeDriver, ImplicationCache};
 use odc_core::govern::{FaultKind, FaultPlan, FaultTrigger, IoFaultKind, IoFaultPlan};
 use odc_core::hierarchy::dot;
 use odc_core::prelude::*;
+use odc_core::render;
 use odc_core::repo::{self as vrepo, VerdictRepo};
 use odc_core::summarizability::advisor;
 use odc_core::summarizability::checkpoint::{load_audit_checkpoint, load_battery_checkpoint};
@@ -48,7 +49,6 @@ use odc_serve::{ServeConfig, Server};
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -91,13 +91,10 @@ usage:
                                              (exit 2 when divergences are found)
 serve options:
   --addr <ip:port>     bind address (default 127.0.0.1:7421; port 0 picks a free one)
-  --workers <n>        solver shards (event mode) / worker threads (threaded
-                       mode); default 4
-  --io <mode>          event (default on unix: readiness loop, idle connections
-                       cost no threads) or threaded (pool fallback)
-  --queue <n>          admission bound: max resident connections (event mode) or
-                       queue capacity (threaded); beyond it connections get
-                       `overloaded` (default 1024)
+  --workers <n>        solver shards behind the readiness loop (idle connections
+                       cost no threads); default 4
+  --queue <n>          admission bound: max resident connections; beyond it
+                       connections get `overloaded` (default 1024)
   --time-limit/--node-limit   server-wide per-request budget cap (client asks
                        are intersected with it — tighten only, never loosen)
   --checkpoint-dir <d> write odc-checkpoint v1 envelopes for solves interrupted
@@ -119,7 +116,7 @@ fuzz options:
                        function of it)
   --cases <n>          corpus case ids to draw (default 64)
   --pairs <a,b,…>      executor pairs to differentiate (default all):
-                       trail-clone, serial-jobs, planned-noplan, fault-resume,
+                       trail-frozen, serial-jobs, planned-noplan, fault-resume,
                        repo-warm-cold, serve-cli, ingest-full
   --repro-dir <dir>    where minimized repro directories go (default .odc-repro)
   --no-minimize        write repros without delta-debugging them first
@@ -127,7 +124,7 @@ fuzz options:
                        e.g. corpus/v1); exit 2 if any entry fails to replay
   --write-corpus <dir> emit replayable corpus entries (catalog fixtures plus
                        seeded draws) with expected verdicts
-  --sabotage           plant a deliberate clone-kernel corruption (self-test:
+  --sabotage           plant a deliberate oracle corruption (self-test:
                        the fuzzer must find, minimize, and replay it)
   --time-limit <dur>   wall-clock cutoff for the whole run
 store options:
@@ -387,7 +384,7 @@ pub fn run(args: &[String]) -> Result<RunOutput, String> {
                 attempt_budget = attempt_budget.scaled(2);
             };
             let unknown = report.interrupted.is_some();
-            let mut out = report.render(&ds);
+            let mut out = render::audit(&ds, &report);
             if attempts > 1 {
                 out.push_str(&format!("({attempts} attempts, budget doubled per retry)\n"));
             }
@@ -407,19 +404,6 @@ pub fn run(args: &[String]) -> Result<RunOutput, String> {
                     out.push_str(&format!(
                         "pending cursors persisted; rerun with --repo {dir} to continue\n"
                     ));
-                }
-            } else {
-                let suggestions = advisor::suggest_into_constraints(&ds);
-                if !suggestions.is_empty() {
-                    out.push_str(
-                        "suggested into constraints (implied; make them explicit to help DIMSAT):\n",
-                    );
-                    for dc in suggestions {
-                        out.push_str(&format!(
-                            "  {}\n",
-                            odc_core::constraint::printer::display_dc(ds.hierarchy(), &dc)
-                        ));
-                    }
                 }
             }
             Ok(RunOutput { text: out, unknown })
@@ -473,32 +457,7 @@ pub fn run(args: &[String]) -> Result<RunOutput, String> {
             }
             let report = driver.solve_from(&solver, c, false, start);
             let (frozen, outcome) = (report.found, report.outcome);
-            // Interrupted enumerations cap the partial listing exactly
-            // like the server does (`odc_serve::PARTIAL_LISTING_CAP`) —
-            // a cancelled exponential enumeration can hold tens of
-            // thousands of partial results, and the two outputs must
-            // stay byte-identical.
-            let shown = if outcome.interrupted.is_some() {
-                frozen.len().min(odc_serve::PARTIAL_LISTING_CAP)
-            } else {
-                frozen.len()
-            };
-            let mut core = format!(
-                "{} frozen dimension(s) with root {} ({} EXPAND, {} CHECK):\n",
-                frozen.len(),
-                root,
-                outcome.stats.expand_calls,
-                outcome.stats.check_calls
-            );
-            for (i, f) in frozen.iter().take(shown).enumerate() {
-                core.push_str(&format!("  f{}: {}\n", i + 1, f.display(&ds)));
-            }
-            if frozen.len() > shown {
-                core.push_str(&format!(
-                    "  ... {} more partial result(s) not shown\n",
-                    frozen.len() - shown
-                ));
-            }
+            let core = render::frozen_listing(&ds, root, &frozen, &outcome);
             let mut out = core.clone();
             if report.attempts > 1 {
                 out.push_str(&format!(
@@ -507,9 +466,6 @@ pub fn run(args: &[String]) -> Result<RunOutput, String> {
                 ));
             }
             let unknown = outcome.interrupted.is_some();
-            if let Some(i) = &outcome.interrupted {
-                out.push_str(&format!("enumeration interrupted ({i}); listing is partial\n"));
-            }
             if unknown {
                 if let (Some(path), Some(c)) = (&flags.checkpoint, &outcome.checkpoint) {
                     write_checkpoint(path, &c.to_text())?;
@@ -547,14 +503,13 @@ pub fn run(args: &[String]) -> Result<RunOutput, String> {
                 .with_budget(budget)
                 .with_observer(obs)
                 .category_satisfiable(c);
-            let (answer, unknown) = verdict_text(&outcome.verdict);
             Ok(RunOutput {
                 text: format!(
-                    "{}\nsatisfiable: {}\n",
+                    "{}\n{}",
                     render_trace(&ds, &outcome.trace),
-                    answer
+                    render::satisfiability(&outcome.verdict)
                 ),
-                unknown,
+                unknown: outcome.is_unknown(),
             })
         }
         "implies" => {
@@ -585,15 +540,8 @@ pub fn run(args: &[String]) -> Result<RunOutput, String> {
                 &mut gov,
                 &cache,
             );
-            let (answer, unknown) = match &out.verdict {
-                ImplicationVerdict::Implied => ("true".to_string(), false),
-                ImplicationVerdict::NotImplied => ("false".to_string(), false),
-                ImplicationVerdict::Unknown(i) => (format!("unknown ({i})"), true),
-            };
-            let mut text = format!("implied: {answer}\n");
-            if let Some(cx) = out.counterexample {
-                text.push_str(&format!("countermodel: {}\n", cx.display(&ds)));
-            }
+            let text = render::implication(&ds, &out);
+            let unknown = out.is_unknown();
             if !unknown {
                 if let Some(r) = &repo {
                     // An implication proof explores the constraint root's
@@ -601,7 +549,7 @@ pub fn run(args: &[String]) -> Result<RunOutput, String> {
                     let _ = r.put(
                         key,
                         vrepo::StoredVerdict {
-                            value: answer,
+                            value: out.implied().to_string(),
                             payload: text.clone(),
                             footprint: vrepo::region(ds.hierarchy(), alpha.root())
                                 .into_iter()
@@ -738,19 +686,12 @@ pub fn run(args: &[String]) -> Result<RunOutput, String> {
                 cp = out.checkpoint;
                 attempt_budget = attempt_budget.scaled(2);
             };
-            let (answer, unknown) = match &out.verdict {
-                SummarizabilityVerdict::Summarizable => ("true".to_string(), false),
-                SummarizabilityVerdict::NotSummarizable => ("false".to_string(), false),
-                SummarizabilityVerdict::Unknown(i) => match interrupt_hint(i) {
-                    Some(hint) => (format!("unknown ({i})\n{hint}"), true),
-                    None => (format!("unknown ({i})"), true),
-                },
-            };
-            let cx_line = out
-                .counterexample
-                .as_ref()
-                .map(|cx| format!("countermodel: {}\n", cx.display(&ds)));
-            let mut text = format!("summarizable: {answer}\n");
+            let unknown = out.is_unknown();
+            let answer = render::summarizability(&ds, &out);
+            let mut text = answer.clone();
+            if let Some(hint) = out.interrupt().as_ref().and_then(interrupt_hint) {
+                text.push_str(&format!("{hint}\n"));
+            }
             if attempts > 1 {
                 text.push_str(&format!("({attempts} attempts, budget doubled per retry)\n"));
             }
@@ -775,23 +716,16 @@ pub fn run(args: &[String]) -> Result<RunOutput, String> {
                     SummarizabilityVerdict::NotSummarizable => out.failing_bottom,
                     _ => None,
                 };
-                let mut payload = format!("summarizable: {answer}\n");
-                if let Some(l) = &cx_line {
-                    payload.push_str(l);
-                }
                 let _ = r.put(
                     key,
                     vrepo::StoredVerdict {
-                        value: answer.clone(),
-                        payload,
+                        value: out.summarizable().to_string(),
+                        payload: answer,
                         footprint: vrepo::summarizable_footprint(ds.hierarchy(), t, fb)
                             .into_iter()
                             .collect(),
                     },
                 );
-            }
-            if let Some(l) = cx_line {
-                text.push_str(&l);
             }
             Ok(RunOutput { text, unknown })
         }
@@ -1230,7 +1164,6 @@ pub fn run(args: &[String]) -> Result<RunOutput, String> {
             let mut queue_cap = 1024usize;
             let mut checkpoint_dir: Option<String> = None;
             let mut cache_dir: Option<String> = None;
-            let mut io = odc_serve::IoMode::default();
             let mut preload: Vec<(String, String)> = Vec::new();
             let mut it = rest.iter();
             while let Some(a) = it.next() {
@@ -1258,10 +1191,6 @@ pub fn run(args: &[String]) -> Result<RunOutput, String> {
                     "--cache-dir" => {
                         cache_dir = Some(it.next().ok_or("--cache-dir needs a path")?.clone());
                     }
-                    "--io" => {
-                        let v = it.next().ok_or("--io needs event|threaded")?;
-                        io = odc_serve::IoMode::parse(v)?;
-                    }
                     "--preload" => {
                         let v = it.next().ok_or("--preload needs <name>=<schema-file>")?;
                         let (name, path) = v
@@ -1282,8 +1211,6 @@ pub fn run(args: &[String]) -> Result<RunOutput, String> {
                 repo: flags.repo.clone().map(std::path::PathBuf::from),
                 obs,
                 handle_sigterm: true,
-                io,
-                fail_socket_restore: false,
             })
             .map_err(|e| format!("bind: {e}"))?;
             for (name, path) in &preload {
@@ -1645,7 +1572,7 @@ fn parse_budget_flags(args: &[String]) -> Result<Flags, String> {
         match arg.as_str() {
             "--time-limit" => {
                 let v = it.next().ok_or("--time-limit needs a value (e.g. 500ms, 2s)")?;
-                budget = budget.with_deadline(parse_duration(v)?);
+                budget = budget.with_deadline(odc_serve::protocol::parse_duration(v)?);
             }
             "--node-limit" => {
                 let v = it.next().ok_or("--node-limit needs a value")?;
@@ -1878,33 +1805,6 @@ fn interrupt_hint(i: &Interrupt) -> Option<&'static str> {
              constraints to narrow the fan-out",
         ),
         _ => None,
-    }
-}
-
-/// Parses `750ms`, `2s`, or a bare number of seconds (fractions allowed).
-fn parse_duration(s: &str) -> Result<Duration, String> {
-    let (num, scale) = if let Some(ms) = s.strip_suffix("ms") {
-        (ms, 1e-3)
-    } else if let Some(sec) = s.strip_suffix('s') {
-        (sec, 1.0)
-    } else {
-        (s, 1.0)
-    };
-    let v: f64 = num
-        .trim()
-        .parse()
-        .map_err(|_| format!("bad duration: {s} (expected e.g. 500ms or 2s)"))?;
-    if !v.is_finite() || v < 0.0 {
-        return Err(format!("bad duration: {s}"));
-    }
-    Ok(Duration::from_secs_f64(v * scale))
-}
-
-fn verdict_text(v: &Verdict) -> (String, bool) {
-    match v {
-        Verdict::Sat(_) => ("true".to_string(), false),
-        Verdict::Unsat => ("false".to_string(), false),
-        Verdict::Unknown(i) => (format!("unknown ({i})"), true),
     }
 }
 

@@ -236,6 +236,70 @@ fn errors_are_reported_with_usage() {
 }
 
 #[test]
+fn out_of_range_time_limit_is_a_usage_error() {
+    let out = odc(&["check", &schema_file(), "--time-limit", "1e300s"]);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "a bad flag is an input error, not a panic"
+    );
+    assert!(String::from_utf8_lossy(&out.stderr).contains("bad duration"));
+}
+
+#[test]
+fn serve_rejects_the_retired_io_flag() {
+    let out = odc(&["serve", "--addr", "127.0.0.1:0", "--io", "threaded"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unexpected argument `--io`"));
+}
+
+/// A cursor written before the clone kernel was retired (options key
+/// with a `trail=1` bit, 11-field stats records) is refused as a typed
+/// checkpoint error, never resumed and never a panic.
+#[test]
+fn resume_refuses_a_clone_era_checkpoint() {
+    let dir = std::env::temp_dir().join(format!("odc-cli-oldckpt-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let cp = dir.join("frozen.ckpt");
+    let cps = cp.to_string_lossy().into_owned();
+    let out = odc(&[
+        "frozen",
+        &schema_file(),
+        "Store",
+        "--node-limit",
+        "2",
+        "--checkpoint",
+        &cps,
+    ]);
+    assert_eq!(out.status.code(), Some(2), "undecided exits 2");
+    let text = std::fs::read_to_string(&cp).expect("checkpoint written");
+    let mut old = String::new();
+    for line in text.lines() {
+        if line.starts_with("options ") {
+            old.push_str(&format!("{line} trail=1\n"));
+        } else if let Some(fields) = line.strip_prefix("stats ") {
+            let mut f: Vec<&str> = fields.split(' ').collect();
+            f.insert(6, "0");
+            old.push_str(&format!("stats {}\n", f.join(" ")));
+        } else {
+            old.push_str(line);
+            old.push('\n');
+        }
+    }
+    assert_ne!(old, text);
+    std::fs::write(&cp, old).unwrap();
+    let out = odc(&["frozen", &schema_file(), "Store", "--resume", &cps]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("--resume") && err.contains("stats record has 11 fields"),
+        "{err}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn checkpoint_file_survives_a_crashed_rewrite() {
     use odc_core::govern::{IoFaultKind, IoFaultPlan};
     let dir = std::env::temp_dir().join(format!("odc-cli-ckpt-{}", std::process::id()));

@@ -44,7 +44,6 @@ fn assert_stats_match(a: &odc_core::dimsat::SearchStats, b: &odc_core::dimsat::S
         "assignments_tested {ctx}"
     );
     assert_eq!(a.frozen_found, b.frozen_found, "frozen_found {ctx}");
-    assert_eq!(a.struct_clones, b.struct_clones, "struct_clones {ctx}");
 }
 
 fn seeded_schemas(count: usize) -> Vec<DimensionSchema> {
@@ -79,52 +78,49 @@ fn location_schema() -> DimensionSchema {
 
 /// Seeded interrupt schedules against governed enumeration: wherever the
 /// fault strikes, resuming the checkpoint completes the identical
-/// enumeration with identical counters — on both kernels.
+/// enumeration with identical counters.
 #[test]
 fn seeded_interrupts_resume_to_identical_enumeration() {
     let schemas = seeded_schemas(6);
     let mut resumed_runs = 0u32;
     for (si, ds) in schemas.iter().enumerate() {
         let bottom = ds.hierarchy().category_by_name("B").unwrap();
-        for opts in [DimsatOptions::default(), DimsatOptions::default().without_trail()] {
-            let solver = Dimsat::with_options(ds, opts);
-            let (clean_frozen, clean_out) = solver.enumerate_frozen(bottom);
-            for seed in 0..8u64 {
-                let plan = FaultPlan::new(
-                    FaultKind::Interrupt,
-                    FaultTrigger::Seeded {
-                        seed,
-                        per_mille: 120,
-                    },
-                )
-                .with_max_injections(1);
-                let mut gov = solver.governor().with_fault_plan(plan);
-                let (_partial, out) = solver.enumerate_frozen_governed(bottom, &mut gov);
-                let Some(intr) = out.interrupted else {
-                    continue; // schedule never fired on this short search
-                };
-                assert_eq!(intr.reason, InterruptReason::FaultInjected, "schema {si}");
-                let cp = out
-                    .checkpoint
-                    .expect("fault interrupt must leave a checkpoint");
-                // Through the text format, like a process restart would.
-                let cp = solver.load_checkpoint(&cp.to_text()).expect("roundtrip");
-                let (resumed_frozen, resumed_out) =
-                    solver.resume(&cp).expect("same schema+options resume");
-                assert!(resumed_out.interrupted.is_none());
-                assert_eq!(
-                    ordered_fingerprints(&resumed_frozen),
-                    ordered_fingerprints(&clean_frozen),
-                    "schema {si} seed {seed} trail={}",
-                    opts.trail_backtracking
-                );
-                assert_stats_match(
-                    &resumed_out.stats,
-                    &clean_out.stats,
-                    &format!("schema {si} seed {seed}"),
-                );
-                resumed_runs += 1;
-            }
+        let solver = Dimsat::new(ds);
+        let (clean_frozen, clean_out) = solver.enumerate_frozen(bottom);
+        for seed in 0..8u64 {
+            let plan = FaultPlan::new(
+                FaultKind::Interrupt,
+                FaultTrigger::Seeded {
+                    seed,
+                    per_mille: 120,
+                },
+            )
+            .with_max_injections(1);
+            let mut gov = solver.governor().with_fault_plan(plan);
+            let (_partial, out) = solver.enumerate_frozen_governed(bottom, &mut gov);
+            let Some(intr) = out.interrupted else {
+                continue; // schedule never fired on this short search
+            };
+            assert_eq!(intr.reason, InterruptReason::FaultInjected, "schema {si}");
+            let cp = out
+                .checkpoint
+                .expect("fault interrupt must leave a checkpoint");
+            // Through the text format, like a process restart would.
+            let cp = solver.load_checkpoint(&cp.to_text()).expect("roundtrip");
+            let (resumed_frozen, resumed_out) =
+                solver.resume(&cp).expect("same schema+options resume");
+            assert!(resumed_out.interrupted.is_none());
+            assert_eq!(
+                ordered_fingerprints(&resumed_frozen),
+                ordered_fingerprints(&clean_frozen),
+                "schema {si} seed {seed}"
+            );
+            assert_stats_match(
+                &resumed_out.stats,
+                &clean_out.stats,
+                &format!("schema {si} seed {seed}"),
+            );
+            resumed_runs += 1;
         }
     }
     assert!(

@@ -86,7 +86,7 @@ fn minimizer_rejects_uninteresting_case() {
     assert_eq!(fingerprint(&out), fingerprint(&case));
 }
 
-/// The full acceptance chain on the planted clone-kernel fault: the
+/// The full acceptance chain on the planted oracle fault: the
 /// driver finds the divergence, minimizes it, writes a self-contained
 /// repro directory, and `replay` confirms the divergence from the
 /// files on disk alone.
@@ -98,7 +98,7 @@ fn planted_divergence_found_minimized_and_replayed() {
     let report = run_fuzz(&FuzzConfig {
         seed: 2002,
         cases: 2,
-        pairs: vec![Pair::TrailClone],
+        pairs: vec![Pair::TrailFrozen],
         sabotage: true,
         repro_dir: Some(repro_base.clone()),
         ..FuzzConfig::default()
@@ -109,7 +109,7 @@ fn planted_divergence_found_minimized_and_replayed() {
         report.notes
     );
     for d in &report.divergences {
-        assert_eq!(d.pair, Pair::TrailClone);
+        assert_eq!(d.pair, Pair::TrailFrozen);
         assert_eq!(d.kind.name(), "verdict");
     }
     assert_eq!(report.repro_dirs.len(), report.divergences.len());
@@ -120,13 +120,13 @@ fn planted_divergence_found_minimized_and_replayed() {
     let _ = std::fs::remove_dir_all(&repro_base);
 }
 
-/// Without sabotage the same trail/clone slice of the corpus is clean.
+/// Without sabotage the same trail/oracle slice of the corpus is clean.
 #[test]
-fn clean_trail_clone_sweep_has_no_divergences() {
+fn clean_trail_frozen_sweep_has_no_divergences() {
     let report = run_fuzz(&FuzzConfig {
         seed: 2002,
         cases: 4,
-        pairs: vec![Pair::TrailClone],
+        pairs: vec![Pair::TrailFrozen],
         minimize: false,
         ..FuzzConfig::default()
     });

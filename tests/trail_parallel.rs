@@ -1,19 +1,18 @@
 //! Integration tests for the trail-based backtracking kernel and the
-//! parallel batch drivers: the trail kernel must enumerate exactly what
-//! the legacy clone-and-restore kernel enumerates (byte-identical, in
-//! the same order) across seeded random workloads, and every parallel
-//! driver must reach the same verdicts as its serial counterpart under a
-//! shared budget.
+//! parallel batch drivers: the kernel must enumerate exactly what the
+//! exhaustive Theorem-3 enumerator finds across seeded random workloads,
+//! and every parallel driver must reach the same verdicts as its serial
+//! counterpart under a shared budget.
 
 use odc_rand::rngs::StdRng;
 use odc_rand::{Rng, SeedableRng};
 use olap_dimension_constraints::prelude::*;
 use olap_dimension_constraints::summarizability::advisor;
 use olap_dimension_constraints::workload::{random_schema, SchemaGenParams};
+use std::collections::BTreeSet;
 
-/// Order-sensitive structural fingerprint: the kernels must agree on the
-/// *sequence* of frozen dimensions, not just the set.
-fn ordered_fingerprints(frozen: &[FrozenDimension]) -> Vec<Vec<(usize, usize)>> {
+/// Structural fingerprint of each frozen dimension: its sorted edges.
+fn edge_sets(frozen: &[FrozenDimension]) -> BTreeSet<Vec<(usize, usize)>> {
     frozen
         .iter()
         .map(|f| {
@@ -28,11 +27,12 @@ fn ordered_fingerprints(frozen: &[FrozenDimension]) -> Vec<Vec<(usize, usize)>> 
         .collect()
 }
 
-/// The trail kernel and the clone kernel walk the identical search tree
-/// and produce the identical enumeration on 25 seeded random schemas.
+/// The trail kernel enumerates exactly the frozen dimensions of the
+/// Theorem-3 exhaustive enumerator on 25 seeded random schemas.
 #[test]
-fn trail_kernel_matches_clone_kernel_on_random_schemas() {
+fn trail_kernel_matches_exhaustive_oracle_on_random_schemas() {
     let mut rng = StdRng::seed_from_u64(0x7EA11);
+    let mut compared = 0;
     for round in 0..25 {
         let params = SchemaGenParams {
             layers: rng.gen_range(2..4),
@@ -48,52 +48,21 @@ fn trail_kernel_matches_clone_kernel_on_random_schemas() {
             continue; // keep the exponential cases cheap
         }
         let bottom = ds.hierarchy().category_by_name("B").unwrap();
-        let (trail_frozen, trail_out) =
-            Dimsat::with_options(&ds, DimsatOptions::default()).enumerate_frozen(bottom);
-        let (clone_frozen, clone_out) =
-            Dimsat::with_options(&ds, DimsatOptions::default().without_trail())
-                .enumerate_frozen(bottom);
+        let (trail_frozen, trail_out) = Dimsat::new(&ds).enumerate_frozen(bottom);
+        assert!(trail_out.interrupted.is_none(), "round {round}");
+        let oracle_frozen = ExhaustiveEnumerator::new(&ds, bottom).enumerate();
         assert_eq!(
-            ordered_fingerprints(&trail_frozen),
-            ordered_fingerprints(&clone_frozen),
+            edge_sets(&trail_frozen),
+            edge_sets(&oracle_frozen),
             "round {round}: enumerations diverge on {ds}"
         );
-        assert_eq!(
-            trail_out.stats.expand_calls, clone_out.stats.expand_calls,
-            "round {round}: kernels explored different trees"
-        );
-        assert_eq!(trail_out.stats.struct_clones, 0, "round {round}");
-        if clone_out.stats.expand_calls > 1 {
-            assert!(clone_out.stats.struct_clones > 0, "round {round}");
+        assert_eq!(trail_frozen.len(), oracle_frozen.len(), "round {round}");
+        for f in &trail_frozen {
+            assert_eq!(f.verify(&ds), Ok(()), "round {round}");
         }
+        compared += 1;
     }
-}
-
-/// The Figure-7 execution trace is byte-identical between the trail
-/// kernel and the legacy clone kernel: not just the same answers, but
-/// the same EXPAND/CHECK/Backtrack event sequence.
-#[test]
-fn trail_kernel_trace_matches_clone_kernel_trace() {
-    use olap_dimension_constraints::dimsat::trace::render_trace;
-    let src = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/examples/location.odcs"
-    ))
-    .unwrap();
-    let ds = odc_core::parse_schema(&src).unwrap();
-    for root in ["Store", "City", "State"] {
-        let c = ds.hierarchy().category_by_name(root).unwrap();
-        let trail = Dimsat::with_options(&ds, DimsatOptions::full().with_trace())
-            .category_satisfiable(c);
-        let clone = Dimsat::with_options(&ds, DimsatOptions::full().with_trace().without_trail())
-            .category_satisfiable(c);
-        assert_eq!(
-            render_trace(&ds, &trail.trace),
-            render_trace(&ds, &clone.trace),
-            "root {root}: the kernels must emit the same trace"
-        );
-        assert_eq!(trail.verdict.is_sat(), clone.verdict.is_sat(), "root {root}");
-    }
+    assert!(compared >= 10, "only {compared} schemas compared");
 }
 
 /// The parallel category sweep agrees with the serial sweep for every
